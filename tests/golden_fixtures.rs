@@ -109,6 +109,53 @@ fn golden_table4_rows() {
     check_or_bless("table4_rows.txt", &rows);
 }
 
+/// The remaining `table4 --quick` paths, sample by sample: the longer
+/// 10-element paths (more stages, busier waveforms) and the 500-element
+/// loads, through `evaluate_sample`; plus the recovery-ladder evaluator
+/// (delay and degradation report) on the shortest and the longest path.
+/// Same sources and master seed as [`golden_table4_rows`], three samples
+/// per configuration.
+#[test]
+fn golden_table4_wide_rows() {
+    let sources = VariationSources::example3_table4();
+    let mut rows = Vec::new();
+    let configs = [
+        ("s444", 10),
+        ("s1423", 10),
+        ("s9234", 10),
+        ("s27", 500),
+        ("s208", 500),
+        ("s444", 500),
+    ];
+    for (circuit, n_elem) in configs {
+        let model = iscas_path_model(circuit, n_elem);
+        let samples = model.draw_samples(&sources, 3, &mut rng_from_seed(4));
+        for (i, s) in samples.iter().enumerate() {
+            let d = model.evaluate_sample(s).unwrap();
+            rows.push((format!("{circuit}@{n_elem}.delay.{i}"), hex(d)));
+        }
+    }
+    for circuit in ["s27", "s9234"] {
+        let model = iscas_path_model(circuit, 10);
+        let samples = model.draw_samples(&sources, 3, &mut rng_from_seed(4));
+        for (i, s) in samples.iter().enumerate() {
+            let (d, report) = model.evaluate_sample_recovering(s, false).unwrap();
+            let key = format!("{circuit}@10.recovering.{i}");
+            rows.push((format!("{key}.delay"), hex(d)));
+            rows.push((
+                format!("{key}.report"),
+                format!(
+                    "{} | sc_retries {} | notes [{}]",
+                    report.rung,
+                    report.sc_retries,
+                    report.notes.join("; ")
+                ),
+            ));
+        }
+    }
+    check_or_bless("table4_wide_rows.txt", &rows);
+}
+
 /// Fig-7 rows: the s27 MC statistics under the (DL, VT) sources and the
 /// gradient-analysis statistics the second histogram is drawn from.
 #[test]
