@@ -34,7 +34,7 @@ use linvar_stats::{
     CampaignConfig, CampaignFingerprint, CampaignVerdict, HealthSummary, RecoveryPolicy, SampleRng,
     SampleStatus, ShardConfig, SpectralConfig, SpectralPlan, SpectralRunError, Summary,
 };
-use linvar_teta::{StageModel, Waveform};
+use linvar_teta::{SettleStop, StageModel, StageResult, Waveform};
 use std::sync::Mutex;
 
 /// Specification of a critical path.
@@ -345,45 +345,119 @@ impl PathModel {
         let h = self.stage_h();
         for (k, stage) in self.stages.iter().enumerate() {
             let rising_out = !input.is_rising();
-            let mut t_end = input.end_time() + 1.0e-9;
-            let mut out = None;
-            for _attempt in 0..3 {
-                let mut res = stage.model.evaluate(
-                    &sample.wire,
-                    sample.device,
-                    std::slice::from_ref(&input),
-                    h,
-                    t_end,
-                )?;
-                let w = &res.waveforms[stage.out_port];
-                let settled = (w.final_value() - if rising_out { self.vdd } else { 0.0 }).abs()
-                    < 0.05 * self.vdd;
-                if settled && w.crossing(self.vdd / 2.0, rising_out).is_some() {
-                    // Take the winning waveform out of the result instead of
-                    // cloning its point vector; the rest of `res` is dropped.
-                    out = Some(res.waveforms.swap_remove(stage.out_port));
-                    break;
-                }
-                t_end *= 2.0;
-            }
-            let out = out.ok_or(CoreError::StageStuck { stage: k })?;
-            let m_out = out
-                .crossing(self.vdd / 2.0, rising_out)
-                .expect("checked above");
+            let out = self
+                .stage_window(
+                    k,
+                    &input,
+                    input.end_time() + 1.0e-9,
+                    |w| self.completed(w, rising_out),
+                    |t_end, stop| {
+                        Ok(stage.model.evaluate_until(
+                            &sample.wire,
+                            sample.device,
+                            std::slice::from_ref(&input),
+                            h,
+                            t_end,
+                            stop,
+                        )?)
+                    },
+                )?
+                .ok_or(CoreError::StageStuck { stage: k })?;
+            let (m_out, next, shift) = self.next_stage_input(&out, rising_out);
             m_out_abs = m_out + offset;
-            // Rebase the next stage's input so its transition sits near the
-            // origin, keeping simulation windows short.
-            let s_est = out
-                .to_saturated_ramp(0.0, self.vdd)
-                .map(|sr| sr.s)
-                .unwrap_or(self.input_slew);
-            let shift = (m_out - 2.0 * s_est).max(0.0);
-            // Trim the settled tail so downstream windows stay short, then
-            // rebase the transition near the origin.
-            input = out.truncated(m_out + 4.0 * s_est).shifted(-shift);
+            input = next;
             offset += shift;
         }
         Ok(m_out_abs - m_path_in)
+    }
+
+    /// Runs stage `k` on `input` until `accept` takes its output-port
+    /// waveform, doubling the window from `t_end` up to twice; `None` if
+    /// no window is accepted. `eval(t_end, stop)` runs the stage; the
+    /// accepted waveform comes from its last call.
+    ///
+    /// Each window first runs with a [`SettleStop`] on the output port,
+    /// ending the time loop once the output has settled. The shortened
+    /// run stands for the full window only if
+    /// [`PathModel::prefix_is_exact`] holds; otherwise the window is run
+    /// again in full. Either way the returned waveform, and everything the
+    /// caller derives from it, is bitwise what the full window gives.
+    fn stage_window(
+        &self,
+        k: usize,
+        input: &Waveform,
+        mut t_end: f64,
+        accept: impl Fn(&Waveform) -> bool,
+        mut eval: impl FnMut(f64, Option<SettleStop>) -> Result<StageResult, CoreError>,
+    ) -> Result<Option<Waveform>, CoreError> {
+        let port = self.stages[k].out_port;
+        let stop = SettleStop {
+            port,
+            rising: !input.is_rising(),
+        };
+        for _attempt in 0..3 {
+            let mut res = eval(t_end, Some(stop))?;
+            if res.stats.settled_early && !self.prefix_is_exact(&res.waveforms[port], stop.rising) {
+                res = eval(t_end, None)?;
+            }
+            if accept(&res.waveforms[port]) {
+                // Take the winning waveform out of the result instead of
+                // cloning its point vector; the rest of `res` is dropped.
+                return Ok(Some(res.waveforms.swap_remove(port)));
+            }
+            t_end *= 2.0;
+        }
+        Ok(None)
+    }
+
+    /// Whether a compressed output `w` that ended at a [`SettleStop`]
+    /// gives the same crossings and `m + 4·s` cut as the full window.
+    ///
+    /// Compressing the first `m` raw samples keeps exactly the points the
+    /// full run keeps up to index `m − 2` ([`Waveform::compress`]), which
+    /// include every point of `w` but its last. So every crossing that
+    /// lies before `w`'s second-to-last point sits on a segment the full
+    /// waveform shares, and a cut before `end_time − 2h` keeps the same
+    /// points. This assumes the output stays settled over the rest of the
+    /// window, as the full-window acceptance test requires anyway.
+    fn prefix_is_exact(&self, w: &Waveform, rising: bool) -> bool {
+        let Ok(sr) = w.to_saturated_ramp(0.0, self.vdd) else {
+            return false;
+        };
+        if sr.rising != rising {
+            return false;
+        }
+        // A complete ramp has crossings, hence at least two points.
+        let t_pen = w.points()[w.points().len() - 2].0;
+        let crossings_shared = [0.1, 0.5, 0.9]
+            .iter()
+            .all(|f| w.crossing(f * self.vdd, rising).is_some_and(|t| t < t_pen));
+        crossings_shared && sr.m + 4.0 * sr.s < w.end_time() - 2.0 * self.stage_h()
+    }
+
+    /// Path-evaluator acceptance of a stage output: it crosses 50 % in
+    /// the expected direction and ends within 5 % of the rail.
+    fn completed(&self, w: &Waveform, rising: bool) -> bool {
+        let rail = if rising { self.vdd } else { 0.0 };
+        (w.final_value() - rail).abs() < 0.05 * self.vdd
+            && w.crossing(self.vdd / 2.0, rising).is_some()
+    }
+
+    /// From an accepted stage output: its 50 % time `m_out`, the next
+    /// stage's input, and the rebasing shift applied to it. The settled
+    /// tail after `m_out + 4·s` is trimmed so downstream windows stay
+    /// short, and the transition is moved near the time origin.
+    fn next_stage_input(&self, out: &Waveform, rising: bool) -> (f64, Waveform, f64) {
+        let m_out = out
+            .crossing(self.vdd / 2.0, rising)
+            .expect("accepted outputs cross 50 %");
+        let s_est = out
+            .to_saturated_ramp(0.0, self.vdd)
+            .map(|sr| sr.s)
+            .unwrap_or(self.input_slew);
+        let shift = (m_out - 2.0 * s_est).max(0.0);
+        let next = out.truncated(m_out + 4.0 * s_est).shifted(-shift);
+        (m_out, next, shift)
     }
 
     /// Draws `n` variation samples (LHS with normal marginals).
@@ -525,39 +599,29 @@ impl PathModel {
         let mut report = DegradationReport::clean();
         for (k, stage) in self.stages.iter().enumerate() {
             let rising_out = !input.is_rising();
-            let mut t_end = input.end_time() + 1.0e-9;
-            let mut out = None;
             let mut stage_rec = None;
-            let mut ladder_err: Option<CoreError> = None;
-            for _attempt in 0..3 {
-                match stage.model.evaluate_recovering(
-                    &sample.wire,
-                    sample.device,
-                    std::slice::from_ref(&input),
-                    h,
-                    t_end,
-                ) {
-                    Ok((mut res, rec)) => {
-                        let w = &res.waveforms[stage.out_port];
-                        let settled = (w.final_value() - if rising_out { self.vdd } else { 0.0 })
-                            .abs()
-                            < 0.05 * self.vdd;
-                        if settled && w.crossing(self.vdd / 2.0, rising_out).is_some() {
-                            out = Some(res.waveforms.swap_remove(stage.out_port));
-                            stage_rec = Some(rec);
-                            break;
-                        }
-                        t_end *= 2.0;
-                    }
-                    Err(e) => {
-                        ladder_err = Some(e.into());
-                        break;
-                    }
-                }
-            }
-            let out = match (out, spice_fallback) {
-                (Some(w), _) => w,
-                (None, true) => {
+            let served = self.stage_window(
+                k,
+                &input,
+                input.end_time() + 1.0e-9,
+                |w| self.completed(w, rising_out),
+                |t_end, stop| {
+                    let (res, rec) = stage.model.evaluate_recovering(
+                        &sample.wire,
+                        sample.device,
+                        std::slice::from_ref(&input),
+                        h,
+                        t_end,
+                        stop,
+                    )?;
+                    stage_rec = Some(rec);
+                    Ok(res)
+                },
+            );
+            let out = match (served, spice_fallback) {
+                (Ok(Some(w)), _) => w,
+                (_, true) => {
+                    stage_rec = None;
                     let w = self.spice_stage_output(k, &input, sample, rising_out)?;
                     linvar_metrics::incr(linvar_metrics::Counter::StageSpiceRescues);
                     report.rung = report.rung.worst(EngineRung::SpiceBaseline);
@@ -567,9 +631,8 @@ impl PathModel {
                     ));
                     w
                 }
-                (None, false) => {
-                    return Err(ladder_err.unwrap_or(CoreError::StageStuck { stage: k }))
-                }
+                (Err(e), false) => return Err(e),
+                (Ok(None), false) => return Err(CoreError::StageStuck { stage: k }),
             };
             if let Some(rec) = stage_rec {
                 report.sc_retries += rec.sc_retries;
@@ -586,16 +649,9 @@ impl PathModel {
                     ));
                 }
             }
-            let m_out = out
-                .crossing(self.vdd / 2.0, rising_out)
-                .expect("checked above");
+            let (m_out, next, shift) = self.next_stage_input(&out, rising_out);
             m_out_abs = m_out + offset;
-            let s_est = out
-                .to_saturated_ramp(0.0, self.vdd)
-                .map(|sr| sr.s)
-                .unwrap_or(self.input_slew);
-            let shift = (m_out - 2.0 * s_est).max(0.0);
-            input = out.truncated(m_out + 4.0 * s_est).shifted(-shift);
+            input = next;
             offset += shift;
         }
         Ok((m_out_abs - m_path_in, report))
@@ -1159,22 +1215,27 @@ impl PathModel {
         let input = Waveform::ramp(v0, v1, s_in, s_in);
         let m_in = 1.5 * s_in;
         let h = self.stage_h();
-        let mut t_end = 3.0 * s_in + 1.0e-9;
-        for _attempt in 0..3 {
-            let res = stage.model.evaluate(
-                &sample.wire,
-                sample.device,
-                std::slice::from_ref(&input),
-                h,
-                t_end,
-            )?;
-            let out = &res.waveforms[stage.out_port];
-            if let Ok(sr) = out.to_saturated_ramp(0.0, self.vdd) {
-                return Ok((sr.m - m_in, sr.s));
-            }
-            t_end *= 2.0;
-        }
-        Err(CoreError::StageStuck { stage: k })
+        let ramp = |w: &Waveform| w.to_saturated_ramp(0.0, self.vdd);
+        let out = self
+            .stage_window(
+                k,
+                &input,
+                3.0 * s_in + 1.0e-9,
+                |w| ramp(w).is_ok(),
+                |t_end, stop| {
+                    Ok(stage.model.evaluate_until(
+                        &sample.wire,
+                        sample.device,
+                        std::slice::from_ref(&input),
+                        h,
+                        t_end,
+                        stop,
+                    )?)
+                },
+            )?
+            .ok_or(CoreError::StageStuck { stage: k })?;
+        let sr = ramp(&out).expect("accepted outputs have a ramp");
+        Ok((sr.m - m_in, sr.s))
     }
 
     /// Gradient-Analysis path-delay statistics (§4.3.2).

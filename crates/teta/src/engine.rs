@@ -17,7 +17,7 @@
 
 use crate::conv::RecursiveConvolution;
 use crate::error::TetaError;
-use crate::waveform::Waveform;
+use crate::waveform::{segment_crossing, Waveform};
 use linvar_devices::{DeviceVariation, MosParams};
 use linvar_mor::PoleResidueModel;
 
@@ -68,6 +68,23 @@ pub struct StageSolverOptions {
     /// recovery ladder's "chord re-selection" analog when the plain
     /// iteration diverges.
     pub sc_damping: f64,
+    /// Ends the time loop before `t_end` once one port has completed its
+    /// transition and settled; `None` runs the full window.
+    pub settle_stop: Option<SettleStop>,
+}
+
+/// Early end of the time loop: stop once `port` has crossed 10, 50 and
+/// 90 % of the supply in the given direction, is within 5 % of the rail
+/// it heads for, and the time is past `t50 + 4.2·s + 3h` — `t50` and the
+/// full-swing transition time `s` taken from the raw (uncompressed)
+/// samples. Path evaluation cuts each stage output at `t50 + 4·s`
+/// anyway, so the steps after that only confirm the settled rail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SettleStop {
+    /// Port whose transition is watched.
+    pub port: usize,
+    /// Direction of that transition.
+    pub rising: bool,
 }
 
 impl StageSolverOptions {
@@ -82,6 +99,7 @@ impl StageSolverOptions {
             variation: DeviceVariation::nominal(),
             compress_tol: 0.0,
             sc_damping: 1.0,
+            settle_stop: None,
         }
     }
 }
@@ -93,6 +111,53 @@ pub struct StageStats {
     pub steps: usize,
     /// Total SC iterations.
     pub sc_iterations: usize,
+    /// The time loop ended early at the [`SettleStop`].
+    pub settled_early: bool,
+}
+
+/// Raw-sample tracker of a [`SettleStop`].
+struct SettleWatch {
+    stop: SettleStop,
+    /// The 10/50/90 % levels in crossing order.
+    levels: [f64; 3],
+    /// First crossing time of each level.
+    crossed: [Option<f64>; 3],
+    rail: f64,
+    band: f64,
+    h: f64,
+}
+
+impl SettleWatch {
+    fn new(stop: SettleStop, vdd: f64, h: f64) -> Self {
+        let levels = if stop.rising {
+            [0.1 * vdd, 0.5 * vdd, 0.9 * vdd]
+        } else {
+            [0.9 * vdd, 0.5 * vdd, 0.1 * vdd]
+        };
+        SettleWatch {
+            stop,
+            levels,
+            crossed: [None; 3],
+            rail: if stop.rising { vdd } else { 0.0 },
+            band: 0.05 * vdd,
+            h,
+        }
+    }
+
+    /// Feeds the newest raw segment of the watched port; `true` once the
+    /// stop condition holds at its end.
+    fn settled(&mut self, from: (f64, f64), to: (f64, f64)) -> bool {
+        for (level, at) in self.levels.iter().zip(self.crossed.iter_mut()) {
+            if at.is_none() {
+                *at = segment_crossing(from, to, *level, self.stop.rising);
+            }
+        }
+        let [Some(t_first), Some(t50), Some(t_second)] = self.crossed else {
+            return false;
+        };
+        let s = (t_second - t_first) / 0.8;
+        to.0 > t50 + 4.2 * s + 3.0 * self.h && (to.1 - self.rail).abs() < self.band
+    }
 }
 
 /// The stage solver: load + drivers, ready to run.
@@ -141,6 +206,11 @@ impl StageSolver {
         if !(opts.h > 0.0 && opts.t_end > opts.h) {
             return Err(TetaError::BadStage("bad time axis".into()));
         }
+        if opts.settle_stop.is_some_and(|stop| stop.port >= np) {
+            return Err(TetaError::BadStage(format!(
+                "settle-stop port out of range ({np} ports)"
+            )));
+        }
         if !(opts.sc_damping > 0.0 && opts.sc_damping <= 1.0) {
             return Err(TetaError::BadStage(format!(
                 "sc_damping must be in (0, 1], got {}",
@@ -184,7 +254,8 @@ impl StageSolver {
     }
 
     /// Runs the stage, returning one waveform per load port and the SC
-    /// statistics.
+    /// statistics. With a [`SettleStop`] the waveforms may end before
+    /// `t_end` ([`StageStats::settled_early`]).
     ///
     /// # Errors
     ///
@@ -273,6 +344,10 @@ impl StageSolver {
             .collect();
         let mut hist: Vec<f64> = Vec::with_capacity(np);
         let mut i_new: Vec<f64> = Vec::with_capacity(np);
+        let mut watch = self
+            .opts
+            .settle_stop
+            .map(|stop| SettleWatch::new(stop, self.opts.vdd, h));
         let mut t = 0.0;
         for _ in 0..steps {
             t += h;
@@ -327,6 +402,13 @@ impl StageSolver {
             stats.steps += 1;
             for (p, rec) in recorded.iter_mut().enumerate() {
                 rec.push((t, v[p]));
+            }
+            if let Some(watch) = watch.as_mut() {
+                let rec = &recorded[watch.stop.port];
+                if watch.settled(rec[rec.len() - 2], rec[rec.len() - 1]) {
+                    stats.settled_early = true;
+                    break;
+                }
             }
         }
         let waveforms = recorded
@@ -537,6 +619,41 @@ mod tests {
         // Out-of-range damping is a configuration error, not a panic.
         let mut bad = StageSolverOptions::new(1.8, 1e-9, 1e-12);
         bad.sc_damping = 0.0;
+        assert!(StageSolver::new(&load, vec![unit_driver(input, g_out)], bad).is_err());
+    }
+
+    #[test]
+    fn settle_stop_ends_the_run_on_a_prefix_of_the_full_run() {
+        let g_out = unit_gout();
+        let load = chord_rc_load(g_out, 20e-15);
+        let input = Waveform::ramp(0.0, 1.8, 20e-12, 50e-12);
+        let run = |stop: Option<SettleStop>| {
+            let mut opts = StageSolverOptions::new(1.8, 2e-9, 1e-12);
+            opts.settle_stop = stop;
+            StageSolver::new(&load, vec![unit_driver(input.clone(), g_out)], opts)
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let (full, full_stats) = run(None);
+        let (cut, cut_stats) = run(Some(SettleStop {
+            port: 0,
+            rising: false,
+        }));
+        assert!(!full_stats.settled_early);
+        assert!(cut_stats.settled_early);
+        assert!(cut_stats.steps < full_stats.steps / 2, "{cut_stats:?}");
+        // The same time loop, only shorter: its samples are the full run's
+        // first ones, bit for bit, and the output has reached the low rail.
+        let n = cut[0].points().len();
+        assert_eq!(cut[0].points(), &full[0].points()[..n]);
+        assert!(cut[0].final_value() < 0.05 * 1.8);
+        // A watched port must exist.
+        let mut bad = StageSolverOptions::new(1.8, 2e-9, 1e-12);
+        bad.settle_stop = Some(SettleStop {
+            port: 3,
+            rising: false,
+        });
         assert!(StageSolver::new(&load, vec![unit_driver(input, g_out)], bad).is_err());
     }
 

@@ -35,7 +35,7 @@ pub mod stage;
 pub mod waveform;
 
 pub use conv::RecursiveConvolution;
-pub use engine::{StageSolver, StageSolverOptions, StageStats};
+pub use engine::{SettleStop, StageSolver, StageSolverOptions, StageStats};
 pub use error::TetaError;
 pub use stage::{StageModel, StageRecovery, StageResult};
 pub use waveform::{SaturatedRamp, Waveform};

@@ -12,7 +12,7 @@
 //! "evaluation" steps: first-order ROM evaluation, pole/residue
 //! transformation, stability filtering and the successive-chords transient.
 
-use crate::engine::{DriverSpec, StageSolver, StageSolverOptions, StageStats};
+use crate::engine::{DriverSpec, SettleStop, StageSolver, StageSolverOptions, StageStats};
 use crate::error::TetaError;
 use crate::waveform::Waveform;
 use linvar_circuit::{Netlist, NodeId};
@@ -188,7 +188,7 @@ impl StageModel {
 
     /// Evaluates the stage at an interconnect parameter sample `w` and a
     /// device variation sample, driving each driver port with the
-    /// corresponding input waveform.
+    /// corresponding input waveform over the full window `[0, t_end]`.
     ///
     /// # Errors
     ///
@@ -203,6 +203,24 @@ impl StageModel {
         h: f64,
         t_end: f64,
     ) -> Result<StageResult, TetaError> {
+        self.evaluate_until(w, variation, inputs, h, t_end, None)
+    }
+
+    /// [`StageModel::evaluate`] whose time loop may end before `t_end` at
+    /// a [`SettleStop`] (`None` runs the full window).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StageModel::evaluate`].
+    pub fn evaluate_until(
+        &self,
+        w: &[f64],
+        variation: DeviceVariation,
+        inputs: &[Waveform],
+        h: f64,
+        t_end: f64,
+        stop: Option<SettleStop>,
+    ) -> Result<StageResult, TetaError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::StageEval);
         // Serve the per-sample reduced matrices from the worker's workspace
         // pool: `evaluate_into` writes the same values `evaluate` would
@@ -213,7 +231,7 @@ impl StageModel {
             let mut rom = ReducedModel::take_from(ws, self.vrom.order(), self.vrom.port_count());
             self.vrom.evaluate_into(w, &mut rom).map(|()| rom)
         })?;
-        let result = self.evaluate_with_rom(&rom, variation, inputs, h, t_end);
+        let result = self.evaluate_with_rom(&rom, variation, inputs, h, t_end, stop);
         with_workspace(|ws| rom.recycle(ws));
         result
     }
@@ -231,7 +249,8 @@ impl StageModel {
     ///
     /// Configuration errors ([`TetaError::BadStage`]) abort immediately:
     /// every rung would repeat them. On success the [`StageRecovery`]
-    /// records which rung and retry served the sample.
+    /// records which rung and retry served the sample. `stop` may end
+    /// each run early, as in [`StageModel::evaluate_until`].
     ///
     /// # Errors
     ///
@@ -245,6 +264,7 @@ impl StageModel {
         inputs: &[Waveform],
         h: f64,
         t_end: f64,
+        stop: Option<SettleStop>,
     ) -> Result<(StageResult, StageRecovery), TetaError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::StageEval);
         let mut recovery = StageRecovery::default();
@@ -272,6 +292,7 @@ impl StageModel {
                     inputs,
                     h,
                     t_end,
+                    stop,
                     &mut sc_retries,
                 )? {
                     Ok(res) => {
@@ -302,6 +323,7 @@ impl StageModel {
                     inputs,
                     h,
                     t_end,
+                    stop,
                     &mut sc_retries,
                 )? {
                     Ok(res) => {
@@ -344,6 +366,7 @@ impl StageModel {
                     inputs,
                     h,
                     t_end,
+                    stop,
                     &mut sc_retries,
                 )? {
                     Ok(res) => {
@@ -378,6 +401,7 @@ impl StageModel {
         inputs: &[Waveform],
         h: f64,
         t_end: f64,
+        stop: Option<SettleStop>,
         sc_retries: &mut usize,
     ) -> Result<Result<StageResult, TetaError>, TetaError> {
         let mut last: Option<TetaError> = None;
@@ -390,6 +414,7 @@ impl StageModel {
                 h / refine,
                 t_end,
                 damping,
+                stop,
             ) {
                 Ok(res) => return Ok(Ok(res)),
                 Err(e) if recoverable(&e) => {
@@ -422,7 +447,7 @@ impl StageModel {
         t_end: f64,
     ) -> Result<StageResult, TetaError> {
         let rom = self.vrom.evaluate_exact(&self.var, w)?;
-        self.evaluate_with_rom(&rom, variation, inputs, h, t_end)
+        self.evaluate_with_rom(&rom, variation, inputs, h, t_end, None)
     }
 
     fn evaluate_with_rom(
@@ -432,10 +457,11 @@ impl StageModel {
         inputs: &[Waveform],
         h: f64,
         t_end: f64,
+        stop: Option<SettleStop>,
     ) -> Result<StageResult, TetaError> {
         let pr = extract_pole_residue(rom)?;
         let (stable, stability) = stabilize(&pr);
-        self.run_sc(&stable, &stability, variation, inputs, h, t_end, 1.0)
+        self.run_sc(&stable, &stability, variation, inputs, h, t_end, 1.0, stop)
     }
 
     /// One successive-chords run against a stabilized load model. The
@@ -452,6 +478,7 @@ impl StageModel {
         h: f64,
         t_end: f64,
         sc_damping: f64,
+        stop: Option<SettleStop>,
     ) -> Result<StageResult, TetaError> {
         if inputs.len() != self.driver_ports.len() {
             return Err(TetaError::BadStage(format!(
@@ -479,6 +506,7 @@ impl StageModel {
         opts.variation = variation;
         opts.compress_tol = 1e-4 * self.vdd;
         opts.sc_damping = sc_damping;
+        opts.settle_stop = stop;
         let (waveforms, stats) = StageSolver::new(stable, drivers, opts)?.run()?;
         Ok(StageResult {
             waveforms,
@@ -589,6 +617,7 @@ mod tests {
                 &[input],
                 1e-12,
                 1.5e-9,
+                None,
             )
             .unwrap();
         assert!(recovery.was_clean(), "recovery: {recovery:?}");

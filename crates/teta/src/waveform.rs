@@ -103,30 +103,64 @@ impl Waveform {
     /// interpolation of their neighbours reproduces within `tol` (absolute).
     /// This is the "adaptively selects the breakpoints" compression of the
     /// paper; typical savings are 5–20x on smooth stage outputs.
+    ///
+    /// The selection is greedy. From the last kept point (the anchor),
+    /// sample `k` is dropped while the chord from the anchor to sample
+    /// `k + 1` passes within `tol` of every sample in between; otherwise
+    /// `k` is kept and becomes the anchor. Rechecking every sample since
+    /// the anchor would make a long settled tail quadratic, so the chord
+    /// slopes that pass all of them are tracked as an interval (a cone)
+    /// that each new sample narrows in O(1). Two cones are kept, at
+    /// `tol − δ` and `tol + δ`, with `δ` orders of magnitude above the
+    /// rounding error of either test: a slope inside the inner cone
+    /// passes the sample-by-sample check, one outside the outer cone
+    /// fails it, and only a slope in the thin margin between them runs
+    /// that check. The kept points are therefore exactly those of the
+    /// sample-by-sample scan, in O(n) for any waveform whose chords do
+    /// not graze the tolerance.
+    ///
+    /// Decisions up to sample `k` read only samples `0..=k + 1`, so
+    /// compressing a prefix `points[..m]` keeps the same points with
+    /// index `≤ m − 2` as compressing the whole waveform.
     pub fn compress(&self, tol: f64) -> Waveform {
-        if self.points.len() <= 2 {
+        let p = &self.points;
+        if p.len() <= 2 {
             return self.clone();
         }
-        let mut kept = vec![self.points[0]];
+        // The rounding argument behind the cones needs every slope and
+        // bound finite and clear of the subnormal range: a non-negative
+        // tolerance, samples of moderate magnitude and time steps that are
+        // not vanishingly small. Anything else runs the sample-by-sample
+        // check at every step.
+        let scale = p.iter().fold(tol, |m, &(_, v)| m.max(v.abs()));
+        let cones = (0.0..1e100).contains(&tol)
+            && scale > 1e-100
+            && p.iter().all(|&(t, v)| t.abs() < 1e100 && v.abs() < 1e100)
+            && p.windows(2).all(|w| w[1].0 - w[0].0 >= 1e-200);
+        let delta = scale * f64::EPSILON * 1e6;
+        let (inner, outer) = (tol - delta, tol + delta);
+        let mut kept = vec![p[0]];
         let mut anchor = 0;
-        for k in 1..self.points.len() - 1 {
-            // Check all points between anchor and k+1 against the chord.
-            let (t0, v0) = self.points[anchor];
-            let (t1, v1) = self.points[k + 1];
-            let mut ok = true;
-            for p in &self.points[anchor + 1..=k] {
-                let interp = v0 + (v1 - v0) * (p.0 - t0) / (t1 - t0);
-                if (interp - p.1).abs() > tol {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                kept.push(self.points[k]);
+        let mut cone = SlopeCone::OPEN;
+        for k in 1..p.len() - 1 {
+            let (t0, v0) = p[anchor];
+            let (t1, v1) = p[k + 1];
+            let decided = if cones {
+                let (tk, vk) = p[k];
+                cone.narrow(tk - t0, vk - v0, inner, outer);
+                cone.decide((v1 - v0) / (t1 - t0))
+            } else {
+                None
+            };
+            let fits =
+                decided.unwrap_or_else(|| chord_fits(&p[anchor + 1..=k], (t0, v0), (t1, v1), tol));
+            if !fits {
+                kept.push(p[k]);
                 anchor = k;
+                cone = SlopeCone::OPEN;
             }
         }
-        kept.push(*self.points.last().expect("nonempty"));
+        kept.push(*p.last().expect("nonempty"));
         Waveform { points: kept }
     }
 
@@ -161,21 +195,9 @@ impl Waveform {
     /// Time of the first crossing of `level` in the given direction, or
     /// `None`.
     pub fn crossing(&self, level: f64, rising: bool) -> Option<f64> {
-        for w in self.points.windows(2) {
-            let ((t0, v0), (t1, v1)) = (w[0], w[1]);
-            let crossed = if rising {
-                v0 < level && v1 >= level
-            } else {
-                v0 > level && v1 <= level
-            };
-            if crossed {
-                if (v1 - v0).abs() < 1e-300 {
-                    return Some(t1);
-                }
-                return Some(t0 + (t1 - t0) * (level - v0) / (v1 - v0));
-            }
-        }
-        None
+        self.points
+            .windows(2)
+            .find_map(|w| segment_crossing(w[0], w[1], level, rising))
     }
 
     /// Extracts the saturated-ramp abstraction `(M, S)` between the given
@@ -202,6 +224,80 @@ impl Waveform {
             .ok_or(TetaError::IncompleteTransition { what: "90% point" })?;
         let s = (t_second - t_first) / 0.8;
         Ok(SaturatedRamp { m, s, rising })
+    }
+}
+
+/// Time at which the segment from `(t0, v0)` to `(t1, v1)` crosses
+/// `level` in the given direction, or `None` if it does not.
+pub(crate) fn segment_crossing(
+    (t0, v0): (f64, f64),
+    (t1, v1): (f64, f64),
+    level: f64,
+    rising: bool,
+) -> Option<f64> {
+    let crossed = if rising {
+        v0 < level && v1 >= level
+    } else {
+        v0 > level && v1 <= level
+    };
+    if !crossed {
+        None
+    } else if (v1 - v0).abs() < 1e-300 {
+        Some(t1)
+    } else {
+        Some(t0 + (t1 - t0) * (level - v0) / (v1 - v0))
+    }
+}
+
+/// `true` if the chord from `a` to `b` passes within `tol` of every
+/// sample in `between` — the sample-by-sample test of
+/// [`Waveform::compress`].
+fn chord_fits(
+    between: &[(f64, f64)],
+    (t0, v0): (f64, f64),
+    (t1, v1): (f64, f64),
+    tol: f64,
+) -> bool {
+    !between.iter().any(|&(t, v)| {
+        let interp = v0 + (v1 - v0) * (t - t0) / (t1 - t0);
+        (interp - v).abs() > tol
+    })
+}
+
+/// The chord slopes from an anchor that pass within `tol − δ` (inner) and
+/// `tol + δ` (outer) of every sample fed to [`SlopeCone::narrow`].
+#[derive(Clone, Copy)]
+struct SlopeCone {
+    inner: (f64, f64),
+    outer: (f64, f64),
+}
+
+impl SlopeCone {
+    const OPEN: SlopeCone = SlopeCone {
+        inner: (f64::NEG_INFINITY, f64::INFINITY),
+        outer: (f64::NEG_INFINITY, f64::INFINITY),
+    };
+
+    /// Narrows both cones to the slopes passing a sample `dt` after the
+    /// anchor and `dv` above it.
+    fn narrow(&mut self, dt: f64, dv: f64, inner_tol: f64, outer_tol: f64) {
+        self.inner.0 = self.inner.0.max((dv - inner_tol) / dt);
+        self.inner.1 = self.inner.1.min((dv + inner_tol) / dt);
+        self.outer.0 = self.outer.0.max((dv - outer_tol) / dt);
+        self.outer.1 = self.outer.1.min((dv + outer_tol) / dt);
+    }
+
+    /// Whether the chord of this slope fits: `Some(true)` inside the
+    /// inner cone, `Some(false)` outside the outer one, `None` in the
+    /// margin between them.
+    fn decide(&self, slope: f64) -> Option<bool> {
+        if self.inner.0 <= slope && slope <= self.inner.1 {
+            Some(true)
+        } else if slope < self.outer.0 || slope > self.outer.1 {
+            Some(false)
+        } else {
+            None
+        }
     }
 }
 

@@ -246,3 +246,41 @@ fn eigen_and_lu_reject_pathological_inputs() {
     let rect = Matrix::zeros(2, 5);
     assert!(eigen_decompose(&rect).is_err());
 }
+
+#[test]
+fn unsettled_stage_is_stage_stuck_from_both_path_evaluators() {
+    use linvar::iscas::{benchmark, decompose_to_primitives, longest_path};
+    let bench = benchmark("s27").unwrap();
+    let report = longest_path(&bench.netlist).unwrap();
+    let stages = decompose_to_primitives(&bench.netlist, &report).unwrap();
+    let spec = PathSpec {
+        cells: stages.into_iter().map(|s| s.cell).collect(),
+        linear_elements_between_stages: 10,
+        input_slew: 60e-12,
+    };
+    let model = PathModel::build(&spec, &tech_018(), &WireTech::m018()).unwrap();
+    // A threshold shift this large leaves the first stage's pull-down too
+    // weak to complete its transition within the largest window. The
+    // settle stop never fires, so both evaluators walk the whole window
+    // ladder and report the stage.
+    let sample = PathSample {
+        wire: [0.0; 5],
+        device: DeviceVariation::new(0.0, 43.0),
+    };
+    assert!(matches!(
+        model.evaluate_sample(&sample),
+        Err(CoreError::StageStuck { stage: 0 })
+    ));
+    assert!(matches!(
+        model.evaluate_sample_recovering(&sample, false),
+        Err(CoreError::StageStuck { stage: 0 })
+    ));
+    // One step less and the stage settles within the ladder: the stop
+    // changes the cost of a sample, not whether it completes.
+    let slow = PathSample {
+        wire: [0.0; 5],
+        device: DeviceVariation::new(0.0, 42.0),
+    };
+    let d = model.evaluate_sample(&slow).unwrap();
+    assert_eq!(model.evaluate_sample_recovering(&slow, false).unwrap().0, d);
+}
