@@ -34,7 +34,7 @@ use linvar_stats::{
     CampaignConfig, CampaignFingerprint, CampaignVerdict, HealthSummary, RecoveryPolicy, SampleRng,
     SampleStatus, ShardConfig, SpectralConfig, SpectralPlan, SpectralRunError, Summary,
 };
-use linvar_teta::{SettleStop, StageModel, StageResult, Waveform};
+use linvar_teta::{SettleStop, StageModel, StageResult, Waveform, MAX_RUNG};
 use std::sync::Mutex;
 
 /// Specification of a critical path.
@@ -447,6 +447,11 @@ impl PathModel {
     /// stage's input, and the rebasing shift applied to it. The settled
     /// tail after `m_out + 4·s` is trimmed so downstream windows stay
     /// short, and the transition is moved near the time origin.
+    ///
+    /// The shift is a whole number of the step ladder's longest steps, so
+    /// the output's samples, taken on this stage's step grid, land on the
+    /// next stage's grid as its input breakpoints: no step there needs
+    /// to shrink to `h` just to avoid straddling one.
     fn next_stage_input(&self, out: &Waveform, rising: bool) -> (f64, Waveform, f64) {
         let m_out = out
             .crossing(self.vdd / 2.0, rising)
@@ -455,7 +460,8 @@ impl PathModel {
             .to_saturated_ramp(0.0, self.vdd)
             .map(|sr| sr.s)
             .unwrap_or(self.input_slew);
-        let shift = (m_out - 2.0 * s_est).max(0.0);
+        let grid = self.stage_h() * (1u64 << MAX_RUNG) as f64;
+        let shift = ((m_out - 2.0 * s_est) / grid).floor().max(0.0) * grid;
         let next = out.truncated(m_out + 4.0 * s_est).shifted(-shift);
         (m_out, next, shift)
     }
