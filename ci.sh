@@ -297,10 +297,13 @@ if ! diff -u "$ckdir/clean.mc" "$ckdir/shard4.mc"; then
 fi
 
 echo "==> perf smoke (table4 --quick at 1 thread, median of 5 runs, appended to the bench trajectory)"
-# Five runs into a scratch trajectory; their median samples/sec becomes one
-# ci-perf-smoke entry (with the git revision) in BENCH_trajectory.json. The
-# gate compares it with the median of the last (up to) five ci-perf-smoke
-# entries: a drop of more than 10% fails CI.
+# Five runs into a scratch trajectory; their medians become one
+# ci-perf-smoke entry (with the git revision) in BENCH_trajectory.json.
+# Two rates are gated, each against the median of the last (up to) five
+# ci-perf-smoke entries that carry it: a drop of more than 10% fails CI.
+# mc.samples_per_sec divides by the whole run's wall time (SPICE
+# reference and model builds included); mc.framework_samples_per_sec
+# divides by the framework Monte-Carlo time alone.
 for run in 1 2 3 4 5; do
     LINVAR_THREADS=1 LINVAR_TRAJECTORY="$ckdir/perf_runs.json" \
         LINVAR_TRAJECTORY_LABEL=ci-perf-smoke \
@@ -314,24 +317,26 @@ if command -v python3 >/dev/null 2>&1; then
 import json, os, statistics, sys
 
 runs = json.load(open(os.environ["PERF_RUNS"]))
-rates = [r["mc.samples_per_sec"] for r in runs]
-if len(rates) != 5:
-    sys.exit(f"perf smoke expected 5 runs, found {len(rates)}")
+if len(runs) != 5:
+    sys.exit(f"perf smoke expected 5 runs, found {len(runs)}")
+gated = ["mc.samples_per_sec", "mc.framework_samples_per_sec"]
 entry = dict(runs[-1])
-entry["mc.samples_per_sec"] = statistics.median(rates)
-entry["mc.samples_per_sec.runs"] = rates
+rates = {}
+for key in gated:
+    rates[key] = [r[key] for r in runs if key in r]
+    if len(rates[key]) != 5:
+        sys.exit(f"perf smoke: {key} missing from some of the 5 runs")
+    entry[key] = statistics.median(rates[key])
+    entry[key + ".runs"] = rates[key]
 entry["wall_seconds"] = statistics.median(r["wall_seconds"] for r in runs)
 entry["git_revision"] = os.environ["GIT_REVISION"]
 
 path = "BENCH_trajectory.json"
-history = [
+previous = [
     e for e in json.load(open(path))
     if e.get("label") == "ci-perf-smoke" and e.get("bin") == "table4"
-    and e.get("quick") and e.get("threads", 1) == 1 and "mc.samples_per_sec" in e
-][-5:]
-cur = entry["mc.samples_per_sec"]
-print(f"perf smoke: median {cur:.2f} samples/sec over 5 runs "
-      f"({', '.join(f'{r:.2f}' for r in rates)}) at {entry['git_revision']}")
+    and e.get("quick") and e.get("threads", 1) == 1
+]
 
 # Append in the layout the bench bins write: one entry per array element,
 # indented one level.
@@ -342,14 +347,24 @@ if not body.endswith("]"):
 body = body[:-1].rstrip()
 open(path, "w").write(f"[\n{rendered}\n]\n" if body == "[" else f"{body},\n{rendered}\n]\n")
 
-if history:
-    base = statistics.median(e["mc.samples_per_sec"] for e in history)
+failed = []
+for key in gated:
+    cur = entry[key]
+    print(f"perf smoke: {key} median {cur:.2f} over 5 runs "
+          f"({', '.join(f'{r:.2f}' for r in rates[key])}) at {entry['git_revision']}")
+    history = [e for e in previous if key in e][-5:]
+    if not history:
+        print(f"perf smoke: no earlier ci-perf-smoke entry carries {key}; recorded only")
+        continue
+    base = statistics.median(e[key] for e in history)
     ratio = cur / base
-    print(f"perf smoke: {ratio:.2f}x the median of the last {len(history)} "
-          f"ci-perf-smoke entries ({base:.2f} samples/sec)")
+    print(f"perf smoke: {key} {ratio:.2f}x the median of the last {len(history)} "
+          f"ci-perf-smoke entries ({base:.2f})")
     if ratio < 0.9:
-        sys.exit("samples/sec regressed by more than 10% against the median of "
-                 "the last ci-perf-smoke entries")
+        failed.append(key)
+if failed:
+    sys.exit(f"{', '.join(failed)} regressed by more than 10% against the median "
+             "of the last ci-perf-smoke entries")
 EOF
 else
     echo "    (python3 unavailable; trajectory not appended, regression check skipped)"

@@ -298,6 +298,9 @@ fn run() -> Result<(), BenchError> {
     let master_seed = 4;
     let mut rows = Vec::new();
     let mut truncated = 0usize;
+    // Framework Monte-Carlo work of this run: samples evaluated and the
+    // seconds they took, summed over configurations (no SPICE, no builds).
+    let (mut fw_samples, mut fw_seconds) = (0usize, 0.0f64);
     for circuit in circuits {
         let cells = path_cells(circuit)?;
         for &n_elem in &[10usize, 500] {
@@ -409,6 +412,8 @@ fn run() -> Result<(), BenchError> {
             // Throughput of the samples evaluated in *this* run; a fully
             // resumed campaign evaluates none, so no rate is measurable.
             let timing = if evaluated > 0 {
+                fw_samples += evaluated;
+                fw_seconds += elapsed;
                 Some((elapsed * 1e3 / evaluated as f64, evaluated as f64 / elapsed))
             } else {
                 None
@@ -478,6 +483,12 @@ fn run() -> Result<(), BenchError> {
     }
     meter.set("configs", configs);
     meter.set("truncated_configs", truncated as u64);
+    if fw_samples > 0 && fw_seconds > 0.0 {
+        meter.gauge(
+            "mc.framework_samples_per_sec",
+            fw_samples as f64 / fw_seconds,
+        );
+    }
     eprintln!("{}", linvar_bench::workspace_note());
     meter.finish(&args)?;
     Ok(())

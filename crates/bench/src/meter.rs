@@ -32,6 +32,8 @@ pub struct BenchMeter {
     bin: &'static str,
     start: Instant,
     extra: Json,
+    /// Run-level gauges the bin measured itself.
+    gauges: Vec<(&'static str, f64)>,
 }
 
 impl BenchMeter {
@@ -44,6 +46,7 @@ impl BenchMeter {
             bin,
             start: Instant::now(),
             extra: Json::obj(),
+            gauges: Vec::new(),
         }
     }
 
@@ -51,6 +54,13 @@ impl BenchMeter {
     /// (accuracy deltas, speedup ratios, configuration names, …).
     pub fn set(&mut self, key: &str, value: impl Into<Json>) -> &mut Self {
         self.extra.set(key, value);
+        self
+    }
+
+    /// Records a run-dependent scalar the bin measured itself (a rate over
+    /// part of the run, say) in the report's `gauges` section.
+    pub fn gauge(&mut self, key: &'static str, value: f64) -> &mut Self {
+        self.gauges.push((key, value));
         self
     }
 
@@ -73,6 +83,9 @@ impl BenchMeter {
             .unwrap_or(0);
         if completed > 0 && wall > 0.0 {
             report.set_gauge("mc.samples_per_sec", completed as f64 / wall);
+        }
+        for &(key, value) in &self.gauges {
+            report.set_gauge(key, value);
         }
         self.append_trajectory(args, wall, &report)?;
         let mut bench = self.extra;
@@ -115,6 +128,7 @@ impl BenchMeter {
         entry.set("wall_seconds", wall);
         for key in [
             "mc.samples_per_sec",
+            "mc.framework_samples_per_sec",
             "ws.hits",
             "ws.misses",
             "ws.bytes_held",
@@ -222,14 +236,18 @@ mod tests {
         let args = BenchArgs::default();
         let cwd = std::env::current_dir().unwrap();
         std::env::set_current_dir(&dir).unwrap();
-        let run = |label: &str| {
+        let run = |label: &str, framework_rate: Option<f64>| {
             std::env::set_var("LINVAR_TRAJECTORY_LABEL", label);
-            let meter = BenchMeter::start("trajtest");
+            let mut meter = BenchMeter::start("trajtest");
             linvar_metrics::incr(linvar_metrics::Counter::McSamplesCompleted);
+            if let Some(rate) = framework_rate {
+                meter.gauge("mc.framework_samples_per_sec", rate);
+            }
             meter.finish(&args).unwrap();
         };
-        run("before");
-        run("after");
+        run("before", None);
+        run("after", Some(12.5));
+        let report = std::fs::read_to_string(dir.join("BENCH_trajtest.json")).unwrap();
         std::env::set_current_dir(cwd).unwrap();
         std::env::remove_var("LINVAR_TRAJECTORY");
         std::env::remove_var("LINVAR_TRAJECTORY_LABEL");
@@ -239,6 +257,12 @@ mod tests {
         assert!(before < after, "entries must append in run order:\n{text}");
         assert!(text.trim_end().ends_with(']'), "file stays a JSON array");
         assert_eq!(text.matches("\"bin\": \"trajtest\"").count(), 2);
+        // A gauge the bin measured lands in the report and, for the
+        // trajectory's known keys, in the entry of its own run only.
+        let rate = "\"mc.framework_samples_per_sec\": 12.5";
+        assert_eq!(text.matches(rate).count(), 1, "{text}");
+        assert!(text.find(rate).unwrap() > after, "{text}");
+        assert!(report.contains(rate), "{report}");
         linvar_metrics::disable();
         linvar_metrics::reset();
     }
